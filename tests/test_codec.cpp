@@ -10,19 +10,25 @@
 namespace instameasure::netio {
 namespace {
 
+// gtest names each case by the raw bytes of its parameter (this struct has
+// no printer), so the gap after `proto` is spelled out and zeroed: implicit
+// padding would carry stack garbage into the test names and change them
+// from one build to the next.
 struct CodecCase {
   IpProto proto;
+  std::array<std::uint8_t, 7> zero_pad{};
   std::size_t payload;
 };
+static_assert(sizeof(CodecCase) == 16, "no implicit padding left");
 
 class CodecRoundTrip
     : public ::testing::TestWithParam<CodecCase> {};
 
 TEST_P(CodecRoundTrip, KeySurvivesEncodeDecode) {
-  const auto [proto, payload] = GetParam();
+  const auto& param = GetParam();
   FlowKey key{0x0A000001, 0xC0A80A02, 12345, 80,
-              static_cast<std::uint8_t>(proto)};
-  const auto frame = encode_frame(key, payload);
+              static_cast<std::uint8_t>(param.proto)};
+  const auto frame = encode_frame(key, param.payload);
   const auto parsed = decode_frame(frame);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->key, key);
@@ -31,13 +37,13 @@ TEST_P(CodecRoundTrip, KeySurvivesEncodeDecode) {
 
 INSTANTIATE_TEST_SUITE_P(
     ProtocolsAndSizes, CodecRoundTrip,
-    ::testing::Values(CodecCase{IpProto::kTcp, 0},
-                      CodecCase{IpProto::kTcp, 100},
-                      CodecCase{IpProto::kTcp, 1460},
-                      CodecCase{IpProto::kUdp, 0},
-                      CodecCase{IpProto::kUdp, 512},
-                      CodecCase{IpProto::kIcmp, 0},
-                      CodecCase{IpProto::kIcmp, 56}));
+    ::testing::Values(CodecCase{.proto = IpProto::kTcp, .payload = 0},
+                      CodecCase{.proto = IpProto::kTcp, .payload = 100},
+                      CodecCase{.proto = IpProto::kTcp, .payload = 1460},
+                      CodecCase{.proto = IpProto::kUdp, .payload = 0},
+                      CodecCase{.proto = IpProto::kUdp, .payload = 512},
+                      CodecCase{.proto = IpProto::kIcmp, .payload = 0},
+                      CodecCase{.proto = IpProto::kIcmp, .payload = 56}));
 
 TEST(Codec, MinimumFrameIs60Bytes) {
   FlowKey key{1, 2, 3, 4, static_cast<std::uint8_t>(IpProto::kUdp)};
