@@ -18,6 +18,7 @@
 #include "core/flow_regulator.h"
 #include "core/instameasure.h"
 #include "core/wsaf_table.h"
+#include "core/wsaf_view.h"
 #include "runtime/spsc_queue.h"
 #include "netio/codec.h"
 #include "sketch/counter_tree.h"
@@ -251,6 +252,53 @@ void BM_WsafResizePause(benchmark::State& state) {
   state.SetLabel(to_string(config.layout));
 }
 BENCHMARK(BM_WsafResizePause)->Arg(0)->Arg(1)->Iterations(100'000);
+
+// View publishing on the paper's 2^22-slot WSAF (~256 MB of entries) at two
+// loads: sparse (~0.03 %, the ~1,300 live flows of imbench's `attack`
+// workload) and dense (~50 %). fill_view() walks the occupancy bitmap
+// (512 KiB) and copies only live entries, so the sparse row shows the
+// bitmap-walk floor and the dense row the per-entry copy cost. Reports
+// time per view (us) and live entries per view. Built once per load and
+// reused across repetitions; the dense fill is ~2.1M inserts.
+struct WsafFillViewWorkload {
+  std::unique_ptr<core::WsafTable> table;
+  std::size_t flows = 0;
+};
+
+WsafFillViewWorkload& wsaf_fill_view_workload(std::size_t flows) {
+  static WsafFillViewWorkload w;
+  if (w.table == nullptr || w.flows != flows) {
+    w.table.reset();  // release the previous load's table first
+    core::WsafConfig config;
+    config.log2_entries = 22;
+    w.table = std::make_unique<core::WsafTable>(config);
+    w.flows = flows;
+    util::SplitMix64 seeds{13};
+    std::uint64_t now = 0;
+    for (std::size_t i = 0; i < flows; ++i) {
+      const auto key = key_from(seeds());
+      w.table->accumulate(key, key.hash(config.seed), 1.0, 500.0, ++now);
+    }
+  }
+  return w;
+}
+
+void BM_WsafFillView(benchmark::State& state) {
+  auto& w = wsaf_fill_view_workload(static_cast<std::size_t>(state.range(0)));
+  core::WsafView view;
+  for (auto _ : state) {
+    w.table->fill_view(view);
+    benchmark::DoNotOptimize(view.entries.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["live"] = static_cast<double>(view.entries.size());
+  state.counters["load"] = w.table->load_factor();
+  state.SetLabel(w.flows * 100 < w.table->slot_count() ? "sparse" : "dense");
+}
+BENCHMARK(BM_WsafFillView)
+    ->Arg(1'300)
+    ->Arg(std::int64_t{1} << 21)
+    ->Unit(benchmark::kMicrosecond);
 
 // -------------------------------------------------------- engine fast path
 //

@@ -53,12 +53,43 @@ const WsafConfig& validated(const WsafConfig& config) {
   return config;
 }
 
+// Occupancy bitmap: 1 bit per slot, 64 slots per word (at least one word).
+std::vector<std::uint64_t> occupancy_words(std::size_t slots) {
+  return std::vector<std::uint64_t>((slots + 63) / 64, 0);
+}
+bool occupied_bit(const std::vector<std::uint64_t>& bits,
+                  std::size_t s) noexcept {
+  return ((bits[s >> 6] >> (s & 63)) & 1u) != 0;
+}
+void set_occupied_bit(std::vector<std::uint64_t>& bits,
+                      std::size_t s) noexcept {
+  bits[s >> 6] |= std::uint64_t{1} << (s & 63);
+}
+void clear_occupied_bit(std::vector<std::uint64_t>& bits,
+                        std::size_t s) noexcept {
+  bits[s >> 6] &= ~(std::uint64_t{1} << (s & 63));
+}
+
 }  // namespace
+
+template <typename Fn>
+void WsafTable::for_each_occupied(const std::vector<WsafEntry>& slots,
+                                  const std::vector<std::uint64_t>& bits,
+                                  Fn&& fn) {
+  for (std::size_t w = 0; w < bits.size(); ++w) {
+    for (auto word = bits[w]; word != 0; word &= word - 1) {
+      const auto s =
+          (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
+      fn(s, slots[s]);
+    }
+  }
+}
 
 WsafTable::WsafTable(const WsafConfig& config)
     : config_(validated(config)),
       mask_((std::uint64_t{1} << config.log2_entries) - 1),
       slots_(config.entries()),
+      occupied_bits_(occupancy_words(config.entries())),
       trace_(config.trace),
       trace_track_(config.trace_track) {
   if (config.layout == WsafLayout::kBucketed) {
@@ -226,6 +257,7 @@ WsafTable::Accumulated WsafTable::accumulate(const netio::FlowKey& key,
                  e.packets, first_free_probe);
     } else {
       ++occupied_;
+      set_occupied_bit(occupied_bits_, first_free);
     }
     e = WsafEntry{key, flow_id, est_packets, est_bytes, now_ns, now_ns,
                   /*occupied=*/true, /*referenced=*/false};
@@ -238,6 +270,7 @@ WsafTable::Accumulated WsafTable::accumulate(const netio::FlowKey& key,
   }
 
   // Probe window full of live entries: replace per the configured policy.
+  // The victim's slot stays occupied, so the bitmap is unchanged.
   ++window_stress_;  // this event displaces (or loses) a live flow
   if (config_.eviction == EvictionPolicy::kNone) {
     ++stats_.rejected;
@@ -375,6 +408,7 @@ WsafTable::Accumulated WsafTable::accumulate_bucketed(
                  e.packets, first_free_bucket);
     } else {
       ++occupied_;
+      set_occupied_bit(occupied_bits_, first_free);
     }
     e = WsafEntry{key, flow_id, est_packets, est_bytes, now_ns, now_ns,
                   /*occupied=*/true, /*referenced=*/false};
@@ -501,15 +535,14 @@ std::vector<const WsafEntry*> WsafTable::live_entries(
     std::uint64_t now_ns) const {
   std::vector<const WsafEntry*> out;
   out.reserve(occupied_);
-  for (const auto& e : slots_) {
-    if (e.occupied && !expired(e, now_ns)) out.push_back(&e);
-  }
+  const auto collect = [&](std::size_t, const WsafEntry& e) {
+    if (!expired(e, now_ns)) out.push_back(&e);
+  };
+  for_each_occupied(slots_, occupied_bits_, collect);
   // Mid-resize the logical table is the union of both regions (each flow is
   // in exactly one), so readers see a single consistent epoch.
   if (resize_ != nullptr) {
-    for (const auto& e : resize_->old_slots) {
-      if (e.occupied && !expired(e, now_ns)) out.push_back(&e);
-    }
+    for_each_occupied(resize_->old_slots, resize_->old_occupied_bits, collect);
   }
   return out;
 }
@@ -518,22 +551,19 @@ void WsafTable::fill_view(WsafView& view, std::uint64_t now_ns) const {
   view.clear();
   view.as_of_ns = now_ns;
   if (view.entries.capacity() < occupied_) view.entries.reserve(occupied_);
-  for (const auto& e : slots_) {
-    if (!e.occupied || expired(e, now_ns)) continue;
+  const auto copy = [&](std::size_t, const WsafEntry& e) {
+    if (expired(e, now_ns)) return;
     view.entries.push_back({e.key,
                             // Rebuild the 64-bit hash domain the readers
                             // key on: the entry keeps only the top 32 bits.
                             e.key.hash(config_.seed), e.packets, e.bytes,
                             e.first_seen_ns, e.last_update_ns});
-  }
+  };
+  for_each_occupied(slots_, occupied_bits_, copy);
   // Same single-epoch union as live_entries(): a published view mid-resize
   // carries every live flow exactly once, never a half-migrated table.
   if (resize_ != nullptr) {
-    for (const auto& e : resize_->old_slots) {
-      if (!e.occupied || expired(e, now_ns)) continue;
-      view.entries.push_back({e.key, e.key.hash(config_.seed), e.packets,
-                              e.bytes, e.first_seen_ns, e.last_update_ns});
-    }
+    for_each_occupied(resize_->old_slots, resize_->old_occupied_bits, copy);
   }
 }
 
@@ -545,10 +575,13 @@ std::size_t WsafTable::sweep_expired(std::uint64_t now_ns,
   std::size_t reclaimed = 0;
   for (std::size_t visited = 0; visited < budget; ++visited) {
     const auto s = sweep_cursor_;
-    WsafEntry& e = slots_[s];
     sweep_cursor_ = (sweep_cursor_ + 1) & mask_;
-    if (e.occupied && expired(e, now_ns)) {
+    // The bit answers for an empty slot; only occupied slots load an entry.
+    if (!occupied_bit(occupied_bits_, s)) continue;
+    WsafEntry& e = slots_[s];
+    if (expired(e, now_ns)) {
       e = WsafEntry{};
+      clear_occupied_bit(occupied_bits_, s);
       if (config_.layout == WsafLayout::kBucketed) {
         buckets_[s / WsafBucketMeta::kSlots].clear(s % WsafBucketMeta::kSlots);
       }
@@ -572,11 +605,13 @@ bool WsafTable::begin_resize(unsigned new_log2) {
     return false;
   }
   std::vector<WsafEntry> new_slots;
+  std::vector<std::uint64_t> new_bits;
   std::vector<WsafBucketMeta> new_buckets;
   std::unique_ptr<ResizeState> state;
   try {
     if (fault_alloc_fail_->fire()) throw std::bad_alloc{};
     new_slots.resize(std::size_t{1} << new_log2);
+    new_bits = occupancy_words(new_slots.size());
     if (config_.layout == WsafLayout::kBucketed) {
       new_buckets.resize((std::size_t{1} << new_log2) /
                          WsafBucketMeta::kSlots);
@@ -593,6 +628,7 @@ bool WsafTable::begin_resize(unsigned new_log2) {
   }
 
   state->old_slots = std::move(slots_);
+  state->old_occupied_bits = std::move(occupied_bits_);
   state->old_buckets = std::move(buckets_);
   state->old_mask = mask_;
   state->old_bucket_mask = bucket_mask_;
@@ -602,6 +638,7 @@ bool WsafTable::begin_resize(unsigned new_log2) {
   state->old_occupied = occupied_;
 
   slots_ = std::move(new_slots);
+  occupied_bits_ = std::move(new_bits);
   buckets_ = std::move(new_buckets);
   config_.log2_entries = new_log2;
   mask_ = (std::uint64_t{1} << new_log2) - 1;
@@ -657,8 +694,8 @@ void WsafTable::migrate_some(std::size_t max_slots, std::uint64_t now_ns) {
   while (visited < max_slots && rs.cursor < total && rs.old_occupied != 0) {
     const auto s = rs.cursor++;
     ++visited;
+    if (!occupied_bit(rs.old_occupied_bits, s)) continue;
     WsafEntry& e = rs.old_slots[s];
-    if (!e.occupied) continue;
     if (expired(e, now_ns)) {
       // A dead flow is not worth rehashing; collect it like the background
       // sweep would have.
@@ -748,6 +785,7 @@ void WsafTable::place_migrated(const WsafEntry& src, std::uint64_t flow_hash) {
       --occupied_;
     }
     slots_[free_slot] = src;
+    set_occupied_bit(occupied_bits_, free_slot);
     buckets_[free_slot / WsafBucketMeta::kSlots].set(
         free_slot % WsafBucketMeta::kSlots, tag);
     return;
@@ -788,11 +826,13 @@ void WsafTable::place_migrated(const WsafEntry& src, std::uint64_t flow_hash) {
     --occupied_;
   }
   slots_[free_slot] = src;
+  set_occupied_bit(occupied_bits_, free_slot);
 }
 
 void WsafTable::clear_old_slot(std::size_t s) noexcept {
   ResizeState& rs = *resize_;
   rs.old_slots[s] = WsafEntry{};
+  clear_occupied_bit(rs.old_occupied_bits, s);
   if (config_.layout == WsafLayout::kBucketed) {
     rs.old_buckets[s / WsafBucketMeta::kSlots].clear(s %
                                                      WsafBucketMeta::kSlots);
@@ -965,7 +1005,9 @@ void WsafTable::save(const std::string& path) const {
 
   const auto write_record = [&](std::size_t slot, const WsafEntry& e,
                                 bool old_region) {
-    SnapshotRecord rec{};
+    // Zero the padding too, so equal tables always write equal bytes.
+    SnapshotRecord rec;
+    std::memset(&rec, 0, sizeof rec);
     rec.slot = old_region ? (slot | kOldRegionSlotBit) : slot;
     rec.src_ip = e.key.src_ip;
     rec.dst_ip = e.key.dst_ip;
@@ -981,18 +1023,18 @@ void WsafTable::save(const std::string& path) const {
     out.write(reinterpret_cast<const char*>(&rec), sizeof rec);
   };
 
-  for (std::size_t s = 0; s < slots_.size(); ++s) {
-    if (slots_[s].occupied) write_record(s, slots_[s], /*old_region=*/false);
-  }
+  for_each_occupied(slots_, occupied_bits_,
+                    [&](std::size_t s, const WsafEntry& e) {
+                      write_record(s, e, /*old_region=*/false);
+                    });
   if (resize_ != nullptr) {
     // Not-yet-migrated entries, flagged so load() can either finish the
     // migration or reject a torn file — new-region records always precede
     // old-region ones.
-    for (std::size_t s = 0; s < resize_->old_slots.size(); ++s) {
-      if (resize_->old_slots[s].occupied) {
-        write_record(s, resize_->old_slots[s], /*old_region=*/true);
-      }
-    }
+    for_each_occupied(resize_->old_slots, resize_->old_occupied_bits,
+                      [&](std::size_t s, const WsafEntry& e) {
+                        write_record(s, e, /*old_region=*/true);
+                      });
   }
   if (!out) throw std::runtime_error("WsafTable::save: write failed");
 }
@@ -1206,6 +1248,7 @@ WsafTable WsafTable::load(const std::string& path) {
       e.last_update_ns = rec.last_update_ns;
       e.occupied = true;
       e.referenced = rec.referenced != 0;
+      set_occupied_bit(table.occupied_bits_, dest);
       ++table.occupied_;
       if (rec.last_update_ns > table.latest_ns_) {
         table.latest_ns_ = rec.last_update_ns;
@@ -1262,6 +1305,7 @@ WsafTable WsafTable::load(const std::string& path) {
     e.last_update_ns = rec.last_update_ns;
     e.occupied = true;
     e.referenced = rec.referenced != 0;
+    set_occupied_bit(table.occupied_bits_, static_cast<std::size_t>(rec.slot));
     // occupied_ derives from records actually restored, never from the
     // header's claim (which past the checks above could still disagree).
     ++table.occupied_;
@@ -1298,6 +1342,7 @@ void WsafTable::roll_pressure_window() noexcept {
 
 void WsafTable::reset() {
   std::fill(slots_.begin(), slots_.end(), WsafEntry{});
+  std::fill(occupied_bits_.begin(), occupied_bits_.end(), 0);
   std::fill(buckets_.begin(), buckets_.end(), WsafBucketMeta{});
   occupied_ = 0;
   stats_ = WsafStats{};

@@ -29,6 +29,14 @@
 // (wsaf_eviction_policy_version) and the cross-layout differential suite
 // pins what IS identical.
 //
+// Both layouts keep one occupancy bitmap beside the entry array: 1 bit per
+// slot, set exactly when WsafEntry::occupied is. At 2^22 slots it is 512 KiB
+// and stays in the LLC, while the 256 MiB entry array does not. Views,
+// live_entries() and snapshots walk its set bits instead of every slot, so a
+// publish costs O(slots/64 words + live entries) rather than one entry-line
+// read per slot; the background sweep and the resize migration skip empty
+// slots without touching their entry lines.
+//
 // The paper's entry is 33 logical bytes: 32-bit flow-ID hash, 32-bit packet
 // counter, 32-bit byte counter, 64-bit timestamp, 104-bit 5-tuple. The
 // in-memory struct uses doubles for the counters (the regulator emits
@@ -265,7 +273,9 @@ class WsafTable {
   }
 
   /// All live (occupied, not expired as of `now_ns`) entries, order
-  /// unspecified. Top-K layers sort this.
+  /// unspecified (ascending slot, new region first). Top-K layers sort
+  /// this. Like fill_view() and save(), it walks the occupancy bitmap:
+  /// O(slots/64 + live entries), never one read per slot.
   [[nodiscard]] std::vector<const WsafEntry*> live_entries(
       std::uint64_t now_ns) const;
 
@@ -371,10 +381,13 @@ class WsafTable {
   /// Slots the incremental sweep visits per accumulate() when
   /// idle_timeout_ns is set: the whole table is revisited every
   /// entries()/2 accumulates, bounding how long an expired entry can
-  /// inflate occupancy, at a cost of two predictable loads per event.
+  /// inflate occupancy. Each visit tests the occupancy bitmap first, so an
+  /// empty slot costs one bit test and no entry-line load.
   static constexpr std::size_t kSweepSlotsPerAccumulate = 2;
 
-  /// The paper's 33-byte logical entry size (memory accounting).
+  /// The paper's 33-byte logical entry size (memory accounting). The
+  /// occupancy bitmap's 1 bit per slot is bookkeeping outside the paper's
+  /// entry and is not counted here.
   [[nodiscard]] static constexpr std::size_t logical_entry_bytes() noexcept {
     return 33;
   }
@@ -437,6 +450,14 @@ class WsafTable {
   [[nodiscard]] std::optional<WsafEntry> lookup_bucketed(
       const netio::FlowKey& key, std::uint64_t flow_hash,
       std::uint64_t now_ns) const noexcept;
+  /// Call fn(slot, entry) for every occupied slot of one region, in
+  /// ascending slot order — the order a front-to-back slot scan would
+  /// produce — by walking the region's occupancy bitmap with ctz.
+  template <typename Fn>
+  static void for_each_occupied(const std::vector<WsafEntry>& slots,
+                                const std::vector<std::uint64_t>& bits,
+                                Fn&& fn);
+
   [[nodiscard]] bool expired(const WsafEntry& e,
                              std::uint64_t now_ns) const noexcept {
     return config_.idle_timeout_ns != 0 &&
@@ -454,6 +475,7 @@ class WsafTable {
   /// shared).
   struct ResizeState {
     std::vector<WsafEntry> old_slots;
+    std::vector<std::uint64_t> old_occupied_bits;  ///< old region's bitmap
     std::vector<WsafBucketMeta> old_buckets;
     std::uint64_t old_mask = 0;
     std::uint64_t old_bucket_mask = 0;
@@ -498,6 +520,9 @@ class WsafTable {
   WsafConfig config_;
   std::uint64_t mask_;
   std::vector<WsafEntry> slots_;
+  // 1 bit per slot, equal to slots_[s].occupied at every transition (both
+  // layouts); the cache-resident index the occupied-slot walks read.
+  std::vector<std::uint64_t> occupied_bits_;
   // kBucketed acceleration structure: one metadata line per 16 slots.
   // Empty (and bucket_window_ == 0) in the scalar layout.
   std::vector<WsafBucketMeta> buckets_;

@@ -10,19 +10,30 @@
 //       WsafBucketMeta::tag_of(key.hash(seed)) (== low byte of flow_id);
 //   I3. candidate masks only name tag-matching occupied slots — a lookup
 //       can never dereference a tag-mismatched slot;
-//   I4. SIMD and scalar-fallback mask paths agree bit-for-bit.
+//   I4. SIMD and scalar-fallback mask paths agree bit-for-bit;
+//   I5. (both layouts) the table-wide occupancy bitmap has bit s set
+//       exactly when slots[s].occupied, in the new region and, mid-resize,
+//       in the old one.
 // A seeded randomized op-sequence fuzzer (insert/update/lookup/expire/
-// sweep/evict-pressure) checks I1-I3 after every step; on failure it
-// greedily shrinks the sequence and prints the minimal reproducer.
+// sweep/evict-pressure/resize/save-load/reset) checks I1-I3 and I5 after
+// every step; on failure it greedily shrinks the sequence and prints the
+// minimal reproducer. A differential suite replays the same op mix and
+// compares fill_view(), live_entries() and save() with a plain slot scan.
 #include "core/wsaf_bucket.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/wsaf_table.h"
+#include "core/wsaf_view.h"
 #include "util/rng.h"
 
 namespace instameasure::core {
@@ -35,6 +46,22 @@ struct WsafTableTestPeer {
   }
   static const std::vector<WsafBucketMeta>& buckets(const WsafTable& t) {
     return t.buckets_;
+  }
+  static const std::vector<std::uint64_t>& bits(const WsafTable& t) {
+    return t.occupied_bits_;
+  }
+  // Old-region storage of an in-flight resize (callers check resizing()).
+  static const std::vector<WsafEntry>& old_slots(const WsafTable& t) {
+    return t.resize_->old_slots;
+  }
+  static const std::vector<WsafBucketMeta>& old_buckets(const WsafTable& t) {
+    return t.resize_->old_buckets;
+  }
+  static const std::vector<std::uint64_t>& old_bits(const WsafTable& t) {
+    return t.resize_->old_occupied_bits;
+  }
+  static void migrate_tick(WsafTable& t, std::uint64_t now_ns) {
+    t.migrate_tick(now_ns);
   }
 };
 
@@ -107,21 +134,34 @@ TEST(WsafBucketMeta, SetClearRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
-// Op-sequence fuzzer over a live table (I1-I3), shrinkable.
+// Op-sequence fuzzer over a live table (I1-I3 bucketed, I5 both layouts),
+// shrinkable. The op mix includes online resize (begin, migrate ticks,
+// finish), a save/load round trip and reset, so the occupancy bitmap is
+// checked across every transition that moves, rebuilds or clears it.
 
 struct FuzzOp {
   enum Kind : int {
-    kAccumulate,   // flow-keyed accumulate at the current clock
-    kHotUpdate,    // re-accumulate a recently used flow (drives updates)
-    kLookup,       // read-only probe (must not disturb invariants)
-    kAdvanceTime,  // jump the clock so entries expire
-    kSweepSome,    // incremental sweep_expired with a small budget
-    kSweepAll,     // full-table sweep_expired
+    kAccumulate,    // flow-keyed accumulate at the current clock
+    kHotUpdate,     // re-accumulate a recently used flow (drives updates)
+    kLookup,        // read-only probe (must not disturb invariants)
+    kAdvanceTime,   // jump the clock so entries expire
+    kSweepSome,     // incremental sweep_expired with a small budget
+    kSweepAll,      // full-table sweep_expired
+    kBeginResize,   // begin_resize(log2 + 1), up to kFuzzMaxLog2
+    kMigrateTick,   // one bounded migration step (no-op unless resizing)
+    kFinishResize,  // drain an in-flight migration
+    kSaveLoad,      // replace the table with save() -> load() of itself
+    kReset,         // reset() (keeps the capacity), or a fresh 2^6 table
+    kCheckViews,    // differential view/snapshot check (see check_views)
     kKinds
   };
   Kind kind = kAccumulate;
   std::uint32_t arg = 0;
 };
+
+/// Resize ceiling of the fuzz: 2^6 -> 2^9 slots, so a region's bitmap is
+/// one to eight words long.
+constexpr unsigned kFuzzMaxLog2 = 9;
 
 std::string describe(const std::vector<FuzzOp>& ops) {
   std::string out;
@@ -134,10 +174,290 @@ std::string describe(const std::vector<FuzzOp>& ops) {
   return out;
 }
 
+std::vector<FuzzOp> random_ops(std::uint64_t seed, std::size_t count) {
+  util::SplitMix64 rng{seed};
+  std::vector<FuzzOp> ops;
+  ops.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    FuzzOp op;
+    // Bias toward accumulates so the table actually fills and churns;
+    // resets and round trips are rare enough that state builds up between
+    // them.
+    const auto roll = rng() % 40;
+    if (roll < 20) {
+      op.kind = FuzzOp::kAccumulate;
+    } else if (roll < 30) {
+      op.kind = static_cast<FuzzOp::Kind>(1 + (roll - 20) % 5);
+    } else if (roll < 32) {
+      op.kind = FuzzOp::kBeginResize;
+    } else if (roll < 35) {
+      op.kind = FuzzOp::kMigrateTick;
+    } else if (roll < 36) {
+      op.kind = FuzzOp::kFinishResize;
+    } else if (roll < 37) {
+      op.kind = rng() % 4 == 0 ? FuzzOp::kReset : FuzzOp::kSaveLoad;
+    } else {
+      op.kind = FuzzOp::kCheckViews;
+    }
+    op.arg = static_cast<std::uint32_t>(rng() % 192);
+    ops.push_back(op);
+  }
+  return ops;
+}
+
+std::string at_step(std::size_t step) {
+  return " after step " + std::to_string(step);
+}
+
+/// I5 for one region: bit(s) == slots[s].occupied for every slot, and no
+/// bit is set past the region's last slot. Returns the region's occupied
+/// count through `live`.
+std::string check_bitmap(const std::vector<WsafEntry>& slots,
+                         const std::vector<std::uint64_t>& bits,
+                         const char* region, std::size_t& live) {
+  if (bits.size() != (slots.size() + 63) / 64) {
+    return std::string{"I5 "} + region + " bitmap has " +
+           std::to_string(bits.size()) + " words for " +
+           std::to_string(slots.size()) + " slots";
+  }
+  std::size_t set = 0;
+  for (const auto word : bits) {
+    set += static_cast<std::size_t>(std::popcount(word));
+  }
+  live = 0;
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    const bool bit = ((bits[s >> 6] >> (s & 63)) & 1u) != 0;
+    if (bit != slots[s].occupied) {
+      return std::string{"I5 "} + region + " bit " + std::to_string(s) +
+             (bit ? " set on an empty slot" : " clear on an occupied slot");
+    }
+    live += bit ? 1 : 0;
+  }
+  if (set != live) {
+    return std::string{"I5 "} + region + " bitmap has bits past its last slot";
+  }
+  return "";
+}
+
+/// I1-I3 for one bucketed region.
+std::string check_buckets(const std::vector<WsafEntry>& slots,
+                          const std::vector<WsafBucketMeta>& buckets,
+                          std::uint64_t seed) {
+  for (std::size_t b = 0; b < buckets.size(); ++b) {
+    for (std::size_t i = 0; i < WsafBucketMeta::kSlots; ++i) {
+      const auto s = b * WsafBucketMeta::kSlots + i;
+      const bool bit = ((buckets[b].occupied_bits >> i) & 1u) != 0;
+      if (bit != slots[s].occupied) {
+        return "I1 bitmap/liveness mismatch at slot " + std::to_string(s);
+      }
+      if (!bit) continue;
+      const auto expected_tag =
+          WsafBucketMeta::tag_of(slots[s].key.hash(seed));
+      if (buckets[b].tags[i] != expected_tag) {
+        return "I2 tag != hash-derived byte at slot " + std::to_string(s);
+      }
+      if (buckets[b].tags[i] != static_cast<std::uint8_t>(slots[s].flow_id)) {
+        return "I2 tag != low byte of flow_id at slot " + std::to_string(s);
+      }
+      // I3: the candidate mask for this slot's own tag must name it, and
+      // every slot any mask names must carry exactly that tag.
+      const auto mask = buckets[b].match_mask(buckets[b].tags[i]);
+      if (((mask >> i) & 1u) == 0) {
+        return "I3 mask misses its own occupied slot " + std::to_string(s);
+      }
+      for (std::size_t k = 0; k < WsafBucketMeta::kSlots; ++k) {
+        if (((mask >> k) & 1u) != 0 &&
+            buckets[b].tags[k] != buckets[b].tags[i]) {
+          return "I3 mask names tag-mismatched slot " +
+                 std::to_string(b * WsafBucketMeta::kSlots + k);
+        }
+      }
+    }
+  }
+  return "";
+}
+
+std::string check_invariants(const WsafTable& table) {
+  const auto seed = table.config().seed;
+  const bool bucketed = table.config().layout == WsafLayout::kBucketed;
+  std::size_t live_new = 0;
+  auto v = check_bitmap(WsafTableTestPeer::slots(table),
+                        WsafTableTestPeer::bits(table), "new-region",
+                        live_new);
+  if (v.empty() && bucketed) {
+    v = check_buckets(WsafTableTestPeer::slots(table),
+                      WsafTableTestPeer::buckets(table), seed);
+  }
+  if (!v.empty()) return v;
+  std::size_t live_old = 0;
+  if (table.resizing()) {
+    v = check_bitmap(WsafTableTestPeer::old_slots(table),
+                     WsafTableTestPeer::old_bits(table), "old-region",
+                     live_old);
+    if (v.empty() && bucketed) {
+      v = check_buckets(WsafTableTestPeer::old_slots(table),
+                        WsafTableTestPeer::old_buckets(table), seed);
+    }
+    if (!v.empty()) return v;
+  }
+  // Occupancy counts occupied-but-expired entries until they are swept or
+  // reclaimed; the bitmaps mirror `occupied` exactly, so the censuses agree.
+  if (live_new + live_old != table.occupancy()) {
+    return "I1 occupancy census mismatch: bitmaps " +
+           std::to_string(live_new + live_old) + ", occupancy() " +
+           std::to_string(table.occupancy());
+  }
+  return "";
+}
+
+// ---------------------------------------------------------------------------
+// Differential reference: a plain front-to-back scan over every slot of
+// the new region, then of the old one — what fill_view(), live_entries()
+// and save() did before they walked the occupancy bitmap.
+
+bool reference_expired(const WsafTable& table, const WsafEntry& e,
+                       std::uint64_t now) {
+  const auto idle = table.config().idle_timeout_ns;
+  return idle != 0 && e.last_update_ns + idle < now;
+}
+
+std::vector<const WsafEntry*> reference_live(const WsafTable& table,
+                                             std::uint64_t now) {
+  std::vector<const WsafEntry*> out;
+  for (const auto& e : WsafTableTestPeer::slots(table)) {
+    if (e.occupied && !reference_expired(table, e, now)) out.push_back(&e);
+  }
+  if (table.resizing()) {
+    for (const auto& e : WsafTableTestPeer::old_slots(table)) {
+      if (e.occupied && !reference_expired(table, e, now)) out.push_back(&e);
+    }
+  }
+  return out;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in{path, std::ios::binary};
+  return std::string{std::istreambuf_iterator<char>{in},
+                     std::istreambuf_iterator<char>{}};
+}
+
+// Mirror of the "IMWSAF02" layout WsafTable::save() writes: 48-byte
+// header, then one 64-byte record per occupied slot, new region first,
+// old-region records flagged with bit 63 of the slot field.
+struct RefHeader {
+  char magic[8];
+  std::uint32_t log2_entries, probe_limit, layout, old_log2;
+  std::uint64_t idle_timeout_ns, seed, occupied;
+};
+struct RefRecord {
+  std::uint64_t slot;
+  std::uint32_t src_ip, dst_ip;
+  std::uint16_t src_port, dst_port;
+  std::uint8_t proto, referenced;
+  std::uint32_t flow_id;
+  double packets, bytes;
+  std::uint64_t first_seen_ns, last_update_ns;
+};
+static_assert(sizeof(RefHeader) == 48 && sizeof(RefRecord) == 64);
+
+std::string reference_snapshot(const WsafTable& table) {
+  std::string out;
+  RefHeader h;
+  std::memset(&h, 0, sizeof h);
+  std::memcpy(h.magic, "IMWSAF02", 8);
+  h.log2_entries = table.config().log2_entries;
+  h.probe_limit = table.config().probe_limit;
+  h.layout = static_cast<std::uint32_t>(table.config().layout);
+  h.old_log2 = table.resize_source_log2();
+  h.idle_timeout_ns = table.config().idle_timeout_ns;
+  h.seed = table.config().seed;
+  h.occupied = table.occupancy();
+  out.append(reinterpret_cast<const char*>(&h), sizeof h);
+  const auto region = [&](const std::vector<WsafEntry>& slots,
+                          std::uint64_t flag) {
+    for (std::size_t s = 0; s < slots.size(); ++s) {
+      const auto& e = slots[s];
+      if (!e.occupied) continue;
+      RefRecord r;
+      std::memset(&r, 0, sizeof r);
+      r.slot = s | flag;
+      r.src_ip = e.key.src_ip;
+      r.dst_ip = e.key.dst_ip;
+      r.src_port = e.key.src_port;
+      r.dst_port = e.key.dst_port;
+      r.proto = e.key.proto;
+      r.referenced = e.referenced ? 1 : 0;
+      r.flow_id = e.flow_id;
+      r.packets = e.packets;
+      r.bytes = e.bytes;
+      r.first_seen_ns = e.first_seen_ns;
+      r.last_update_ns = e.last_update_ns;
+      out.append(reinterpret_cast<const char*>(&r), sizeof r);
+    }
+  };
+  region(WsafTableTestPeer::slots(table), 0);
+  if (table.resizing()) {
+    region(WsafTableTestPeer::old_slots(table), std::uint64_t{1} << 63);
+  }
+  return out;
+}
+
+/// fill_view(), live_entries() and save() against the reference scan:
+/// same entries, same order, same snapshot bytes.
+std::string check_views(const WsafTable& table, std::uint64_t now,
+                        const std::string& scratch) {
+  const auto expected = reference_live(table, now);
+  const auto live = table.live_entries(now);
+  if (live != expected) {
+    return "live_entries differs from the reference scan (" +
+           std::to_string(live.size()) + " vs " +
+           std::to_string(expected.size()) + " entries)";
+  }
+  WsafView view;
+  view.entries.push_back({});  // a recycled view must be cleared first
+  table.fill_view(view, now);
+  if (view.as_of_ns != now || view.entries.size() != expected.size()) {
+    return "fill_view size differs from the reference scan";
+  }
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const auto& got = view.entries[i];
+    const auto& e = *expected[i];
+    if (!(got.key == e.key) ||
+        got.flow_hash != e.key.hash(table.config().seed) ||
+        got.packets != e.packets || got.bytes != e.bytes ||
+        got.first_seen_ns != e.first_seen_ns ||
+        got.last_update_ns != e.last_update_ns) {
+      return "fill_view entry " + std::to_string(i) +
+             " differs from the reference scan";
+    }
+  }
+  table.save(scratch);
+  if (read_file(scratch) != reference_snapshot(table)) {
+    return "save() bytes differ from the reference-ordered snapshot";
+  }
+  return "";
+}
+
+/// What a replay saw, so a test can assert its op mix reached the regimes
+/// it claims to cover.
+struct ReplayCoverage {
+  std::size_t resizes = 0;           ///< begin_resize() calls that committed
+  std::size_t round_trips = 0;       ///< successful save/load replacements
+  std::size_t view_checks = 0;       ///< check_views() runs
+  std::size_t mid_resize_views = 0;  ///< ... of which mid-migration
+  std::size_t expiry_views = 0;      ///< ... hiding an expired entry
+};
+
 /// Replay `ops` on a fresh table; return a description of the first
-/// violated invariant ("" if none). The checker runs after every op, so
-/// the failing op is the last one of a shrunken sequence.
-std::string replay(const WsafConfig& config, const std::vector<FuzzOp>& ops) {
+/// violated invariant ("" if none). The invariant checker runs after every
+/// op, so the failing op is the last one of a shrunken sequence. The
+/// differential view/snapshot check runs at kCheckViews ops, or after every
+/// op when `views_every_step` is set.
+std::string replay(const WsafConfig& config, const std::vector<FuzzOp>& ops,
+                   const std::string& scratch, bool views_every_step = false,
+                   ReplayCoverage* coverage = nullptr) {
+  ReplayCoverage local;
+  ReplayCoverage& cov = coverage != nullptr ? *coverage : local;
   WsafTable table{config};
   std::uint64_t now = 1;
   std::uint32_t hot = 0;
@@ -169,66 +489,61 @@ std::string replay(const WsafConfig& config, const std::vector<FuzzOp>& ops) {
       case FuzzOp::kSweepAll:
         (void)table.sweep_expired(now);
         break;
+      case FuzzOp::kBeginResize:
+        if (table.config().log2_entries < kFuzzMaxLog2 &&
+            table.begin_resize(table.config().log2_entries + 1)) {
+          ++cov.resizes;
+        }
+        break;
+      case FuzzOp::kMigrateTick:
+        if (table.resizing()) WsafTableTestPeer::migrate_tick(table, now);
+        break;
+      case FuzzOp::kFinishResize:
+        table.finish_resize();
+        break;
+      case FuzzOp::kSaveLoad:
+        table.save(scratch);
+        try {
+          table = WsafTable::load(scratch);
+          ++cov.round_trips;
+        } catch (const std::runtime_error&) {
+          // load() completes an in-flight migration in place and refuses
+          // (never evicts) when a key's new-region window is already full;
+          // the saved table stays in service, as a failed restore would.
+        }
+        break;
+      case FuzzOp::kReset:
+        // Half the time start over instead, so that resizes (capped at
+        // kFuzzMaxLog2) keep recurring through a long sequence.
+        if (op.arg % 2 == 0) {
+          table.reset();
+        } else {
+          table = WsafTable{config};
+        }
+        break;
       default:
         break;
     }
-
-    const auto& slots = WsafTableTestPeer::slots(table);
-    const auto& buckets = WsafTableTestPeer::buckets(table);
-    std::size_t bitmap_live = 0;
-    for (std::size_t b = 0; b < buckets.size(); ++b) {
-      for (std::size_t i = 0; i < WsafBucketMeta::kSlots; ++i) {
-        const auto s = b * WsafBucketMeta::kSlots + i;
-        const bool bit = ((buckets[b].occupied_bits >> i) & 1u) != 0;
-        if (bit != slots[s].occupied) {
-          return "I1 bitmap/liveness mismatch at slot " + std::to_string(s) +
-                 " after step " + std::to_string(step);
-        }
-        if (!bit) continue;
-        ++bitmap_live;
-        const auto expected_tag =
-            WsafBucketMeta::tag_of(slots[s].key.hash(config.seed));
-        if (buckets[b].tags[i] != expected_tag) {
-          return "I2 tag != hash-derived byte at slot " + std::to_string(s) +
-                 " after step " + std::to_string(step);
-        }
-        if (buckets[b].tags[i] !=
-            static_cast<std::uint8_t>(slots[s].flow_id)) {
-          return "I2 tag != low byte of flow_id at slot " +
-                 std::to_string(s) + " after step " + std::to_string(step);
-        }
-        // I3: the candidate mask for this slot's own tag must name it, and
-        // every slot any mask names must carry exactly that tag.
-        const auto mask = buckets[b].match_mask(buckets[b].tags[i]);
-        if (((mask >> i) & 1u) == 0) {
-          return "I3 mask misses its own occupied slot " + std::to_string(s);
-        }
-        for (std::size_t k = 0; k < WsafBucketMeta::kSlots; ++k) {
-          if (((mask >> k) & 1u) != 0 &&
-              buckets[b].tags[k] != buckets[b].tags[i]) {
-            return "I3 mask names tag-mismatched slot " +
-                   std::to_string(b * WsafBucketMeta::kSlots + k);
-          }
-        }
+    if (op.kind == FuzzOp::kCheckViews || views_every_step) {
+      ++cov.view_checks;
+      if (table.resizing()) ++cov.mid_resize_views;
+      if (reference_live(table, now).size() != table.occupancy()) {
+        ++cov.expiry_views;
       }
+      const auto v = check_views(table, now, scratch);
+      if (!v.empty()) return v + at_step(step);
     }
-    // The bitmap census is the table's occupancy less entries that are
-    // occupied-but-expired (occupancy counts those until swept; the bitmap
-    // mirrors occupied exactly, so the two censuses must agree).
-    std::size_t slot_live = 0;
-    for (const auto& e : slots) slot_live += e.occupied ? 1 : 0;
-    if (bitmap_live != slot_live || slot_live != table.occupancy()) {
-      return "I1 occupancy census mismatch after step " +
-             std::to_string(step);
-    }
+    const auto v = check_invariants(table);
+    if (!v.empty()) return v + at_step(step);
   }
   return "";
 }
 
 /// Greedy delta-debugging: repeatedly try dropping chunks (halving the
 /// chunk size down to 1) while the failure reproduces.
-std::vector<FuzzOp> shrink(const WsafConfig& config,
-                           std::vector<FuzzOp> ops) {
+std::vector<FuzzOp> shrink(const WsafConfig& config, std::vector<FuzzOp> ops,
+                           const std::string& scratch,
+                           bool views_every_step = false) {
   for (std::size_t chunk = ops.size() / 2; chunk >= 1; chunk /= 2) {
     bool progressed = true;
     while (progressed && ops.size() > 1) {
@@ -243,7 +558,7 @@ std::vector<FuzzOp> shrink(const WsafConfig& config,
             candidate.end(),
             ops.begin() + static_cast<std::ptrdiff_t>(start + chunk),
             ops.end());
-        if (!replay(config, candidate).empty()) {
+        if (!replay(config, candidate, scratch, views_every_step).empty()) {
           ops = std::move(candidate);
           progressed = true;
           break;
@@ -255,38 +570,83 @@ std::vector<FuzzOp> shrink(const WsafConfig& config,
   return ops;
 }
 
+/// Small table (2^6 slots, 4 buckets), small key space, real idle timeout:
+/// every regime — collisions, tag collisions, eviction pressure, expiry,
+/// partial and full sweeps, resize, round trips — is reachable within a
+/// few hundred ops.
+WsafConfig fuzz_config(WsafLayout layout) {
+  WsafConfig config = bucketed_config(6, 16, /*idle_timeout_ns=*/50);
+  config.layout = layout;
+  return config;
+}
+
+std::string scratch_path(const char* test, WsafLayout layout,
+                         std::uint64_t seed) {
+  return testing::TempDir() + "wsaf-" + test + "-" + to_string(layout) +
+         "-" + std::to_string(seed) + ".bin";
+}
+
+constexpr WsafLayout kLayouts[] = {WsafLayout::kScalarProbe,
+                                   WsafLayout::kBucketed};
+
 class WsafBucketFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(WsafBucketFuzz, InvariantsHoldUnderRandomOpSequences) {
-  // Small table (4 buckets), small key space, real idle timeout: every
-  // regime — collisions, tag collisions, eviction pressure, expiry,
-  // partial and full sweeps — is reachable within a few hundred ops.
-  WsafConfig config = bucketed_config(6, 16, /*idle_timeout_ns=*/50);
   const auto seed = GetParam();
-  util::SplitMix64 rng{seed};
-  std::vector<FuzzOp> ops;
-  ops.reserve(600);
-  for (int i = 0; i < 600; ++i) {
-    FuzzOp op;
-    // Bias toward accumulates so the table actually fills and churns.
-    const auto roll = rng() % 10;
-    op.kind = roll < 5 ? FuzzOp::kAccumulate
-                       : static_cast<FuzzOp::Kind>(roll - 4);
-    op.arg = static_cast<std::uint32_t>(rng() % 192);
-    ops.push_back(op);
-  }
-
-  const auto violation = replay(config, ops);
-  if (!violation.empty()) {
-    const auto minimal = shrink(config, ops);
-    FAIL() << violation << "\nseed: " << seed
-           << "\nminimal reproducer (" << minimal.size()
-           << " ops, {kind,arg}): " << describe(minimal);
+  const auto ops = random_ops(seed, 600);
+  for (const auto layout : kLayouts) {
+    SCOPED_TRACE(to_string(layout));
+    const auto config = fuzz_config(layout);
+    const auto scratch = scratch_path("fuzz", layout, seed);
+    const auto violation = replay(config, ops, scratch);
+    if (!violation.empty()) {
+      const auto minimal = shrink(config, ops, scratch);
+      ADD_FAILURE() << violation << "\nseed: " << seed
+                    << "\nminimal reproducer (" << minimal.size()
+                    << " ops, {kind,arg}): " << describe(minimal);
+    }
+    std::remove(scratch.c_str());
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WsafBucketFuzz,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u));
+
+// The bitmap walk behind fill_view()/live_entries()/save() must reproduce
+// the plain slot scan exactly — entries, order and snapshot bytes — after
+// every op of a fuzzed sequence, on both layouts, with expired entries
+// present and mid-resize. (The invariant fuzz above runs the same check
+// at the random kCheckViews points of its own sequences.)
+class WsafOccupancyDifferential
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(WsafOccupancyDifferential, ViewsAndSnapshotsMatchReferenceScan) {
+  const auto seed = GetParam();
+  const auto ops = random_ops(seed ^ 0xd1ffu, 1'500);
+  for (const auto layout : kLayouts) {
+    SCOPED_TRACE(to_string(layout));
+    const auto config = fuzz_config(layout);
+    const auto scratch = scratch_path("diff", layout, seed);
+    ReplayCoverage cov;
+    const auto violation = replay(config, ops, scratch,
+                                  /*views_every_step=*/true, &cov);
+    if (!violation.empty()) {
+      const auto minimal = shrink(config, ops, scratch, true);
+      ADD_FAILURE() << violation << "\nseed: " << seed
+                    << "\nminimal reproducer (" << minimal.size()
+                    << " ops, {kind,arg}): " << describe(minimal);
+    }
+    std::remove(scratch.c_str());
+    // The sequence must actually have reached the regimes it covers.
+    EXPECT_GT(cov.resizes, 0u);
+    EXPECT_GT(cov.round_trips, 0u);
+    EXPECT_GT(cov.mid_resize_views, 0u);
+    EXPECT_GT(cov.expiry_views, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WsafOccupancyDifferential,
+                         ::testing::Values(1u, 2u, 3u, 4u));
 
 // ---------------------------------------------------------------------------
 // Targeted bucketed regressions.
